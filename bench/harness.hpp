@@ -162,16 +162,8 @@ std::string write_artifact(const std::string& dir, const std::string& name,
 /// `profile_path` is set the hierarchical profiler records the run and its
 /// collapsed-stack dump lands there; when `list_only` is set nothing runs
 /// and the registered benchmarks are listed instead. Returns a process
-/// exit code. Shared by the standalone bench binaries and `xlp bench`.
+/// exit code. The entry point behind `xlp bench`.
 int run_and_report(const RunnerOptions& options,
                    const std::string& profile_path, bool list_only);
-
-/// Standalone-bench entry point: parses --filter/--repeats/--warmup/
-/// --out-dir/--deterministic/--profile/--list (the same surface `xlp
-/// bench` exposes) on top of `defaults`, forces `default_filter` when the
-/// caller gave none, then calls run_and_report(). Returns a process exit
-/// code.
-int run_main(int argc, char** argv, RunnerOptions defaults,
-             const char* default_filter);
 
 }  // namespace xlp::bench

@@ -3,9 +3,9 @@
 namespace xlp::bench {
 
 /// Registers every benchmark suite with Registry::global(). Registration
-/// is explicit — call this from main() (the standalone bench binaries and
-/// `xlp bench` both do) — so nothing depends on static-initializer order
-/// or on the linker keeping unreferenced objects alive.
+/// is explicit — `xlp bench` calls it from main() — so nothing depends on
+/// static-initializer order or on the linker keeping unreferenced objects
+/// alive.
 ///
 /// Suites:
 ///   micro_core     — optimizer/routing kernels (ns/op), including the

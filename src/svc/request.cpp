@@ -1,6 +1,6 @@
 #include "svc/request.hpp"
 
-#include <sstream>
+#include <algorithm>
 
 #include "core/branch_bound.hpp"
 #include "core/drivers.hpp"
@@ -14,6 +14,7 @@
 #include "traffic/app_models.hpp"
 #include "traffic/patterns.hpp"
 #include "util/error.hpp"
+#include "util/numeric.hpp"
 #include "util/rng.hpp"
 
 namespace xlp::svc {
@@ -24,79 +25,32 @@ namespace {
   throw Error(ErrorCode::kParse, message);
 }
 
-/// "lo-hi,lo-hi,..."; "" and "none" mean no express links.
-std::vector<topo::RowLink> parse_links(const std::string& spec) {
-  std::vector<topo::RowLink> links;
-  if (spec.empty() || spec == "none") return links;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto dash = item.find('-');
-    if (dash == std::string::npos || dash == 0 || dash + 1 >= item.size())
-      bad_request("links entries look like lo-hi, comma separated: '" +
-                  item + "'");
-    try {
-      links.push_back({std::stoi(item.substr(0, dash)),
-                       std::stoi(item.substr(dash + 1))});
-    } catch (const std::exception&) {
-      bad_request("non-numeric links entry '" + item + "'");
-    }
-  }
-  return links;
+sim::RoutingMode routing_mode(const std::string& routing) {
+  if (routing == "xy") return sim::RoutingMode::kXY;
+  if (routing == "yx") return sim::RoutingMode::kYX;
+  if (routing == "o1turn") return sim::RoutingMode::kO1Turn;
+  bad_request("routing must be xy, yx or o1turn");
 }
 
-bool is_known_workload(const std::string& name) {
-  if (traffic::pattern_from_string(name)) return true;
-  for (const auto& model : traffic::parsec_models())
-    if (model.name == name) return true;
-  return false;
+/// Throws xlp::Error(kState) for a run a RunControl stopped early, so a
+/// partial result never becomes a (cacheable) payload.
+void require_completed(runctl::RunStatus status, const char* phase) {
+  if (status != runctl::RunStatus::kCompleted)
+    throw Error(ErrorCode::kState, std::string(phase) +
+                                       " stopped early (" +
+                                       runctl::to_string(status) + ")");
 }
 
-traffic::TrafficMatrix resolve_workload(const std::string& name, int n,
-                                        double load) {
-  if (const auto pattern = traffic::pattern_from_string(name))
-    return traffic::TrafficMatrix::from_pattern(*pattern, n, load);
-  return traffic::parsec_model(name).traffic_matrix(n);
-}
-
-/// The design point an evaluate/simulate request names: the placement row
-/// replicated over every row and column at the request's C and B.
-topo::ExpressMesh design_of(const Request& request) {
-  const topo::RowTopology row(request.n, parse_links(request.links));
-  return topo::make_design(row, request.link_limit, request.base_flit_bits);
+/// "lo-hi" of one link, as a `links` entry spells it.
+std::string link_text(const topo::RowLink& link) {
+  return std::to_string(link.lo) + "-" + std::to_string(link.hi);
 }
 
 obs::Json execute_solve(const Request& request, runctl::RunControl* control) {
-  const core::RowObjective objective(request.n, route::HopWeights{});
-  runctl::RunControl local;
-  if (control == nullptr) control = &local;
-
-  core::PlacementResult result;
-  if (request.method == "dcsa" || request.method == "onlysa") {
-    core::SaParams params = core::SaParams{}.with_moves(request.moves);
-    params.control = control;
-    Rng rng(request.seed);
-    result = request.method == "dcsa"
-                 ? core::solve_dcsa(objective, request.link_limit, params, rng)
-                 : core::solve_only_sa(objective, request.link_limit, params,
-                                       rng);
-  } else if (request.method == "dnc") {
-    core::DncOptions dnc;
-    dnc.control = control;
-    result = core::solve_dnc_only(objective, request.link_limit, dnc);
-  } else {
-    core::BranchAndBound bb(objective, request.link_limit, control);
-    const auto exact = bb.solve();
-    result.placement = exact.placement;
-    result.value = exact.value;
-    result.evaluations = objective.evaluations();
-    result.method = "exact";
-    result.status = exact.status;
-  }
-  if (result.status != runctl::RunStatus::kCompleted)
-    throw Error(ErrorCode::kState,
-                std::string("solve stopped early (") +
-                    runctl::to_string(result.status) + ")");
+  core::SaParams hooks;
+  hooks.control = control;
+  const core::PlacementResult result = solve(request, hooks);
+  require_completed(result.status, "solve");
   return obs::Json::object()
       .set("kind", "solve")
       .set("placement", result.placement.to_string())
@@ -110,10 +64,8 @@ obs::Json execute_evaluate(const Request& request) {
   latency::LatencyParams params = latency::LatencyParams::zero_load();
   params.contention_per_hop = request.contention_per_hop;
   const latency::MeshLatencyModel model(design, params);
-  const auto demand =
-      resolve_workload(request.workload, request.n, request.load);
   const latency::LatencyBreakdown breakdown =
-      model.weighted_average(demand.rates());
+      model.weighted_average(demand_of(request).rates());
   return obs::Json::object()
       .set("kind", "evaluate")
       .set("total", breakdown.total())
@@ -126,22 +78,10 @@ obs::Json execute_evaluate(const Request& request) {
 
 obs::Json execute_simulate(const Request& request,
                            runctl::RunControl* control) {
-  const topo::ExpressMesh design = design_of(request);
-  const auto demand =
-      resolve_workload(request.workload, request.n, request.load);
-  sim::SimConfig config;
-  config.measure_cycles = request.cycles;
-  config.vcs_per_port = request.vcs;
-  config.seed = request.seed;
-  config.control = control;
-  if (request.routing == "yx") config.routing = sim::RoutingMode::kYX;
-  else if (request.routing == "o1turn")
-    config.routing = sim::RoutingMode::kO1Turn;
-  const sim::SimStats stats = exp::simulate_design(design, demand, config);
-  if (stats.status != runctl::RunStatus::kCompleted)
-    throw Error(ErrorCode::kState,
-                std::string("simulate stopped early (") +
-                    runctl::to_string(stats.status) + ")");
+  sim::SimConfig base;
+  base.control = control;
+  const sim::SimStats stats = simulate(request, base);
+  require_completed(stats.status, "simulate");
   return obs::Json::object()
       .set("kind", "simulate")
       .set("packets_offered", stats.packets_offered)
@@ -157,6 +97,65 @@ obs::Json execute_simulate(const Request& request,
 }
 
 }  // namespace
+
+topo::ExpressMesh design_of(const Request& request) {
+  const topo::RowTopology row(request.n, topo::parse_links(request.links));
+  return topo::make_design(row, request.link_limit, request.base_flit_bits);
+}
+
+traffic::TrafficMatrix demand_of(const Request& request) {
+  return traffic::resolve_workload(request.workload, request.n,
+                                   request.load);
+}
+
+core::PlacementResult solve(const Request& request,
+                            const core::SaParams& hooks) {
+  const core::RowObjective objective(request.n, route::HopWeights{});
+  runctl::RunControl local;
+  runctl::RunControl* control =
+      hooks.control != nullptr ? hooks.control : &local;
+
+  if (request.method == "dcsa" || request.method == "onlysa") {
+    const core::SaParams schedule =
+        core::SaParams{}.with_moves(request.moves);
+    core::SaParams params = hooks;
+    params.initial_temperature = schedule.initial_temperature;
+    params.total_moves = schedule.total_moves;
+    params.cool_scale = schedule.cool_scale;
+    params.moves_per_cool = schedule.moves_per_cool;
+    params.control = control;
+    Rng rng(request.seed);
+    return request.method == "dcsa"
+               ? core::solve_dcsa(objective, request.link_limit, params, rng)
+               : core::solve_only_sa(objective, request.link_limit, params,
+                                     rng);
+  }
+  if (request.method == "dnc") {
+    core::DncOptions dnc;
+    dnc.control = control;
+    return core::solve_dnc_only(objective, request.link_limit, dnc);
+  }
+  if (request.method == "exact") {
+    core::BranchAndBound bb(objective, request.link_limit, control);
+    const auto exact = bb.solve();
+    core::PlacementResult result;
+    result.placement = exact.placement;
+    result.value = exact.value;
+    result.evaluations = objective.evaluations();
+    result.method = "exact";
+    result.status = exact.status;
+    return result;
+  }
+  bad_request("method must be dcsa, onlysa, dnc or exact");
+}
+
+sim::SimStats simulate(const Request& request, sim::SimConfig base) {
+  base.measure_cycles = request.cycles;
+  base.vcs_per_port = request.vcs;
+  base.seed = request.seed;
+  base.routing = routing_mode(request.routing);
+  return exp::simulate_design(design_of(request), demand_of(request), base);
+}
 
 const char* to_string(RequestKind kind) noexcept {
   switch (kind) {
@@ -216,15 +215,38 @@ void Request::validate() const {
       bad_request("method must be dcsa, onlysa, dnc or exact");
     if (moves < 0) bad_request("moves must be non-negative");
   } else {
-    if (!is_known_workload(workload))
+    if (!traffic::is_known_workload(workload))
       bad_request("unknown workload '" + workload + "'");
+    if (const auto pattern = traffic::pattern_from_string(workload);
+        pattern && (*pattern == traffic::Pattern::kBitReverse ||
+                    *pattern == traffic::Pattern::kBitComplement ||
+                    *pattern == traffic::Pattern::kShuffle) &&
+        !is_power_of_two(static_cast<std::uint64_t>(n) * n))
+      bad_request("workload '" + workload +
+                  "' needs a power-of-two node count (n * n)");
     if (load <= 0.0 || load > 1.0) bad_request("load must be in (0, 1]");
-    parse_links(links);  // syntax check; range errors surface at execute
+    // The whole design point is checked here, so a request the design
+    // builders would refuse fails as a parse error, never at execution.
+    const std::vector<topo::RowLink> parsed = topo::parse_links(links);
+    for (const topo::RowLink& link : parsed) {
+      if (std::min(link.lo, link.hi) < 0 || std::max(link.lo, link.hi) >= n)
+        bad_request("links entry '" + link_text(link) +
+                    "' is out of range for n = " + std::to_string(n));
+      if (!link.is_express())
+        bad_request("links entry '" + link_text(link) +
+                    "' must have hi >= lo + 2 (local links are implicit)");
+    }
+    if (const int cut = topo::RowTopology(n, parsed).max_cut_count();
+        cut > link_limit)
+      bad_request("links put " + std::to_string(cut) +
+                  " links across one cross-section, more than c = " +
+                  std::to_string(link_limit));
     if (kind == RequestKind::kSimulate) {
       if (cycles < 1) bad_request("cycles must be positive");
-      if (routing != "xy" && routing != "yx" && routing != "o1turn")
-        bad_request("routing must be xy, yx or o1turn");
+      routing_mode(routing);  // throws for an unknown name
       if (vcs < 1 || vcs > 16) bad_request("vcs must be in [1, 16]");
+      if (routing == "o1turn" && vcs < 2)
+        bad_request("o1turn routing needs at least 2 vcs");
     }
     if (contention_per_hop < 0.0)
       bad_request("contention must be non-negative");

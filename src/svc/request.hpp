@@ -3,11 +3,12 @@
 #include <cstdint>
 #include <string>
 
+#include "core/drivers.hpp"
 #include "obs/json.hpp"
-
-namespace xlp::runctl {
-class RunControl;
-}
+#include "sim/config.hpp"
+#include "sim/stats.hpp"
+#include "topo/express_mesh.hpp"
+#include "traffic/matrix.hpp"
 
 namespace xlp::svc {
 
@@ -26,8 +27,9 @@ enum class RequestKind { kSolve, kEvaluate, kSimulate, kStats };
 
 [[nodiscard]] const char* to_string(RequestKind kind) noexcept;
 
-/// A pure, hashable unit of work — the canonical request model every
-/// scenario entry point reduces to (ROADMAP item 5). A request carries
+/// A pure, hashable unit of work — the one scenario description: `xlpd`
+/// parses it from JSON, the `xlp` subcommands assemble it from their flags,
+/// and both run it through the typed executors below. A request carries
 /// *only* inputs that define the answer: no output paths, thread counts,
 /// time limits or machine facts, so the same request hashes identically
 /// everywhere and its result can be cached by content.
@@ -87,6 +89,33 @@ struct Request {
   /// xlp::Error(kParse) with a field-naming message.
   void validate() const;
 };
+
+/// The design point an evaluate/simulate request names: `links` (parsed by
+/// topo::parse_links) replicated over every row and column at the
+/// request's C and B.
+[[nodiscard]] topo::ExpressMesh design_of(const Request& request);
+
+/// The traffic the request's `workload` names on its n x n mesh at `load`
+/// (traffic::resolve_workload).
+[[nodiscard]] traffic::TrafficMatrix demand_of(const Request& request);
+
+/// Solves P̄(n, C) with `request.method` — the one dcsa | onlysa | dnc |
+/// exact dispatch; any other method throws xlp::Error(kParse). The
+/// annealing schedule comes from `request.moves` and the seed from
+/// `request.seed`; like core::resume_sa, only the runtime hooks of `hooks`
+/// (observer, series, control, checkpoint sink / cadence) are honoured. A
+/// search stopped by `hooks.control` returns its best-so-far placement
+/// with the stop recorded in `status`.
+[[nodiscard]] core::PlacementResult solve(const Request& request,
+                                          const core::SaParams& hooks = {});
+
+/// Simulates design_of(request) under demand_of(request). Cycles, VCs,
+/// seed and routing come from the request; everything else (trace, series,
+/// control, virtual-express bypass, ...) from the caller's `base`. An
+/// unknown routing throws xlp::Error(kParse); an early stop is recorded in
+/// the returned stats' `status`.
+[[nodiscard]] sim::SimStats simulate(const Request& request,
+                                     sim::SimConfig base = {});
 
 /// Executes one request to completion and returns its canonical result
 /// payload — a Json object with a fixed member order, byte-deterministic

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/check.hpp"
+#include "util/error.hpp"
 #include "util/numeric.hpp"
 
 namespace xlp::topo {
@@ -147,6 +149,39 @@ std::vector<int> valid_link_limits(int n) {
   if (!is_power_of_two(static_cast<std::uint64_t>(c_full))) {
     // keep the list sorted: c_full was appended after the largest power of
     // two below it, so the order is already correct.
+  }
+  return out;
+}
+
+std::vector<RowLink> parse_links(const std::string& spec) {
+  std::vector<RowLink> links;
+  if (spec.empty() || spec == "none") return links;
+  std::stringstream stream(spec);
+  std::string item;
+  while (std::getline(stream, item, ',')) {
+    const auto dash = item.find('-');
+    const auto malformed = [&item] {
+      return Error(ErrorCode::kParse, "links entry '" + item +
+                                          "' is not lo-hi (entries are "
+                                          "comma separated)");
+    };
+    if (dash == std::string::npos || dash == 0 || dash + 1 >= item.size())
+      throw malformed();
+    try {
+      links.push_back({std::stoi(item.substr(0, dash)),
+                       std::stoi(item.substr(dash + 1))});
+    } catch (const std::logic_error&) {  // stoi: not a number / overflow
+      throw malformed();
+    }
+  }
+  return links;
+}
+
+std::string format_links(const RowTopology& row) {
+  std::string out;
+  for (const RowLink& link : row.express_links()) {
+    if (!out.empty()) out += ',';
+    out += std::to_string(link.lo) + "-" + std::to_string(link.hi);
   }
   return out;
 }

@@ -119,4 +119,15 @@ std::ostream& operator<<(std::ostream& os, const RowTopology& row);
 /// power of two, it is included as the final entry.
 [[nodiscard]] std::vector<int> valid_link_limits(int n);
 
+/// Parses an express-link list "lo-hi,lo-hi,..." — the syntax of the
+/// CLI's `--links` flag and of a service request's `links` field; "" and
+/// "none" name the plain row. Only the syntax is checked here: endpoint
+/// ranges and spans are RowTopology's preconditions. Throws
+/// xlp::Error(kParse) naming the malformed entry.
+[[nodiscard]] std::vector<RowLink> parse_links(const std::string& spec);
+
+/// The inverse of parse_links for a placement's express links ("" for the
+/// plain row).
+[[nodiscard]] std::string format_links(const RowTopology& row);
+
 }  // namespace xlp::topo

@@ -46,4 +46,15 @@ struct AppModel {
 /// Fig. 5: the mean of the per-benchmark traffic matrices.
 [[nodiscard]] TrafficMatrix parsec_average_matrix(int n);
 
+/// True when `name` is a synthetic pattern (traffic/patterns.hpp) or a
+/// PARSEC model name — the two kinds of workload a scenario can name.
+[[nodiscard]] bool is_known_workload(const std::string& name);
+
+/// The rate matrix a workload name stands for on an n x n network: a
+/// synthetic pattern offered at `load` packets/node/cycle, or a PARSEC
+/// model at its own injection rate (`load` is unused). Throws
+/// PreconditionError for an unknown name.
+[[nodiscard]] TrafficMatrix resolve_workload(const std::string& name, int n,
+                                             double load);
+
 }  // namespace xlp::traffic

@@ -3,6 +3,7 @@
 #include "topo/builders.hpp"
 #include "topo/row_topology.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace xlp::topo {
 namespace {
@@ -23,6 +24,42 @@ TEST(RowLink, CrossesTheCutsItSpans) {
   EXPECT_TRUE(link.crosses(3));
   EXPECT_TRUE(link.crosses(4));
   EXPECT_FALSE(link.crosses(5));
+}
+
+TEST(ParseLinks, ReadsLoHiListsAndThePlainRow) {
+  EXPECT_TRUE(parse_links("").empty());
+  EXPECT_TRUE(parse_links("none").empty());
+  const auto links = parse_links("1-3,3-7");
+  ASSERT_EQ(links.size(), 2u);
+  EXPECT_EQ(links[0], (RowLink{1, 3}));
+  EXPECT_EQ(links[1], (RowLink{3, 7}));
+}
+
+TEST(ParseLinks, MalformedEntriesAreParseErrorsNamingTheEntry) {
+  for (const char* spec : {"1-x", "13", "-3", "1-", "1-3,,3-7",
+                           "1-99999999999"}) {
+    try {
+      (void)parse_links(spec);
+      ADD_FAILURE() << "accepted '" << spec << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParse) << spec;
+      EXPECT_NE(e.message().find("links entry '"), std::string::npos)
+          << e.message();
+    }
+  }
+  try {
+    (void)parse_links("1-3,2-y");
+    ADD_FAILURE() << "accepted '1-3,2-y'";
+  } catch (const Error& e) {
+    EXPECT_NE(e.message().find("'2-y'"), std::string::npos) << e.message();
+  }
+}
+
+TEST(ParseLinks, FormatLinksRoundTripsAPlacement) {
+  const RowTopology row(8, {{3, 7}, {1, 3}, {1, 3}});
+  EXPECT_EQ(format_links(row), "1-3,1-3,3-7");
+  EXPECT_EQ(RowTopology(8, parse_links(format_links(row))), row);
+  EXPECT_EQ(format_links(RowTopology(8)), "");
 }
 
 TEST(RowTopology, RejectsDegenerateRows) {

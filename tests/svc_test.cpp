@@ -169,6 +169,29 @@ TEST(Request, EvaluateMatchesLatencyModel) {
   EXPECT_DOUBLE_EQ(payload.find("total")->as_number(), expected.total());
 }
 
+TEST(Executors, RejectUnknownMethodAndRoutingThemselves) {
+  // The typed executors do not rely on validate() having run first.
+  Request solve;
+  solve.method = "bogus";
+  try {
+    (void)svc::solve(solve);
+    ADD_FAILURE() << "unknown method accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParse);
+  }
+  Request simulate;
+  simulate.kind = RequestKind::kSimulate;
+  simulate.n = 4;
+  simulate.link_limit = 1;
+  simulate.routing = "diagonal";
+  try {
+    (void)svc::simulate(simulate);
+    ADD_FAILURE() << "unknown routing accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParse);
+  }
+}
+
 // -------------------------------------------------------------------- cache
 
 TEST(ResultCache, RoundTripsAndCountsHitsMisses) {
@@ -339,6 +362,28 @@ TEST(Server, FailedRequestsAreNotCached) {
   EXPECT_EQ(server.cache().size(), 0u);
   // The serialized reply carries the error, not a result.
   EXPECT_NE(reply.to_text().find("\"error\":"), std::string::npos);
+}
+
+TEST(Server, MalformedDesignPointsAreParseErrorsNotPoison) {
+  // validate() refuses every design point the builders or the simulator
+  // would refuse, so none reaches execution as a retryable "poisoned"
+  // fault.
+  obs::MetricsRegistry metrics;
+  Server server(test_options(fresh_dir("design_points"), &metrics));
+  for (const char* text :
+       {R"({"kind":"evaluate","links":"0-99"})",
+        R"({"kind":"evaluate","links":"1-2"})",
+        R"({"kind":"evaluate","links":"5-3"})",
+        R"({"kind":"evaluate","c":1,"links":"0-4,1-5"})",
+        R"({"kind":"simulate","routing":"o1turn","vcs":1})",
+        R"({"kind":"evaluate","n":6,"c":2,"workload":"bit_reverse"})"}) {
+    const std::string reply = server.serve_text(text);
+    EXPECT_NE(reply.find(R"("kind":"parse error")"), std::string::npos)
+        << text << " -> " << reply;
+    EXPECT_NE(reply.find(R"("retryable":false)"), std::string::npos)
+        << text << " -> " << reply;
+  }
+  EXPECT_EQ(metrics.counter("svc.requests.poisoned"), 0);
 }
 
 TEST(Server, ServeTextHandlesObjectsArraysAndGarbage) {

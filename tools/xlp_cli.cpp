@@ -104,7 +104,6 @@
 #include "core/app_specific.hpp"
 #include "harness.hpp"
 #include "suites.hpp"
-#include "core/branch_bound.hpp"
 #include "core/c_sweep.hpp"
 #include "core/drivers.hpp"
 #include "core/portfolio.hpp"
@@ -125,9 +124,9 @@
 #include "sim/simulator.hpp"
 #include "sim/stats_json.hpp"
 #include "svc/client.hpp"
+#include "svc/request.hpp"
 #include "topo/builders.hpp"
 #include "topo/render.hpp"
-#include "traffic/patterns.hpp"
 #include "traffic/trace.hpp"
 #include "util/args.hpp"
 #include "util/error.hpp"
@@ -307,102 +306,95 @@ void write_stats_if_requested(const Args& args, const sim::SimStats& stats) {
   g_ledger.artifact(path);
 }
 
-std::vector<topo::RowLink> parse_links(const std::string& spec) {
-  std::vector<topo::RowLink> links;
-  if (spec.empty() || spec == "none") return links;
-  std::stringstream stream(spec);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    const auto dash = item.find('-');
-    XLP_REQUIRE(dash != std::string::npos,
-                "--links entries look like lo-hi, comma separated");
-    links.push_back({std::stoi(item.substr(0, dash)),
-                     std::stoi(item.substr(dash + 1))});
+/// Runs `fn`, a call into the svc scenario executors on a Request built
+/// from flags. The executors reject a malformed field — a bad --links
+/// entry, an unknown --method or --routing — as Error(kParse); here that
+/// field is a flag, so the failure is a usage error (exit 2). Files that
+/// fail to parse (--resume, replay's --trace) are read outside `fn` and
+/// keep exit 1.
+template <typename Fn>
+auto from_flags(Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const Error& e) {
+    if (e.code() != ErrorCode::kParse) throw;
+    throw Error(ErrorCode::kUsage, e.message());
   }
-  return links;
 }
 
-traffic::TrafficMatrix resolve_workload(const std::string& name, int n,
-                                        double load) {
-  if (const auto pattern = traffic::pattern_from_string(name))
-    return traffic::TrafficMatrix::from_pattern(*pattern, n, load);
-  traffic::TrafficMatrix demand =
-      traffic::parsec_model(name).traffic_matrix(n);
-  return demand;
+/// The runtime hooks every annealing subcommand threads into the search:
+/// cooling-step trace events, series, run control and the checkpoint sink.
+core::SaParams sa_hooks(TraceOutput& trace, SeriesOutput& series,
+                        runctl::RunControl& control,
+                        const std::string& checkpoint_path,
+                        long checkpoint_every) {
+  core::SaParams hooks;
+  hooks.observer = sa_trace_observer(trace.sink());
+  hooks.series = series.recorder_or_null();
+  hooks.control = &control;
+  hooks.checkpoint_sink = checkpoint_file_sink(checkpoint_path);
+  hooks.checkpoint_every_moves = checkpoint_every;
+  return hooks;
 }
 
 int cmd_solve(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
-  const int c = static_cast<int>(args.get_long("c", 4));
-  const std::string method = args.get_or("method", "dcsa");
-  const long moves = args.get_long("moves", 10000);
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  svc::Request request;
+  request.kind = svc::RequestKind::kSolve;
+  request.n = static_cast<int>(args.get_long("n", 8));
+  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.method = args.get_or("method", "dcsa");
+  request.moves = args.get_long("moves", 10000);
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  const int n = request.n;
+  const int c = request.link_limit;
   const int chains = static_cast<int>(args.get_long("chains", 1));
   g_ledger.describe("solve",
                     obs::Json::object()
                         .set("n", n)
                         .set("c", c)
-                        .set("method", method)
-                        .set("moves", moves)
+                        .set("method", request.method)
+                        .set("moves", request.moves)
                         .set("chains", chains),
-                    seed);
+                    request.seed);
 
-  const core::RowObjective objective(n, route::HopWeights{});
   TraceOutput trace(args);
   SeriesOutput series(args);
   runctl::RunControl control = make_run_control(args);
   const std::string checkpoint_path = args.get_or("checkpoint", "");
   const long checkpoint_every = args.get_long("checkpoint-every", 10000);
-  core::SaParams params = core::SaParams{}.with_moves(moves);
-  params.observer = sa_trace_observer(trace.sink());
-  params.series = series.recorder_or_null();
-  params.control = &control;
-  params.checkpoint_sink = checkpoint_file_sink(checkpoint_path);
-  params.checkpoint_every_moves = checkpoint_every;
-  Rng rng(seed);
+  const core::SaParams hooks = sa_hooks(trace, series, control,
+                                        checkpoint_path, checkpoint_every);
 
   core::PlacementResult result;
-  if (chains > 1 && (method == "dcsa" || method == "onlysa")) {
+  if (chains > 1 &&
+      (request.method == "dcsa" || request.method == "onlysa")) {
     core::PortfolioOptions options;
     options.chains = chains;
-    options.sa = params;
+    options.sa = hooks.with_moves(request.moves);
     options.sa.checkpoint_sink = {};  // the portfolio wires its own sinks
     options.series = series.recorder_or_null();
     options.control = control;
     options.checkpoint_path = checkpoint_path;
     options.checkpoint_every_moves = checkpoint_every;
-    options.solver = method == "dcsa" ? core::Solver::kDcsa
-                                      : core::Solver::kOnlySa;
+    options.solver = request.method == "dcsa" ? core::Solver::kDcsa
+                                              : core::Solver::kOnlySa;
     auto portfolio = core::solve_portfolio(n, route::HopWeights{},
-                                           std::nullopt, c, options, seed);
+                                           std::nullopt, c, options,
+                                           request.seed);
     std::printf("portfolio of %d chains finished in %.3f s (%ld evals)\n",
                 chains, portfolio.seconds, portfolio.total_evaluations);
     result = std::move(portfolio.best);
     result.status = portfolio.status;
-  } else if (method == "dcsa") {
-    result = core::solve_dcsa(objective, c, params, rng);
-  } else if (method == "onlysa") {
-    result = core::solve_only_sa(objective, c, params, rng);
-  } else if (method == "dnc") {
-    core::DncOptions dnc;
-    dnc.control = &control;
-    result = core::solve_dnc_only(objective, c, dnc);
-  } else if (method == "exact") {
-    core::BranchAndBound bb(objective, c, &control);
-    const auto exact = bb.solve();
-    result = {exact.placement, exact.value, objective.evaluations(), 0.0,
-              "exact"};
-    result.status = exact.status;
   } else {
-    std::fprintf(stderr, "unknown --method %s\n", method.c_str());
-    return kExitUsage;
+    result = from_flags([&] { return svc::solve(request, hooks); });
   }
 
   std::printf("P̄(%d,%d) via %s\n", n, c, result.method.c_str());
   std::printf("  placement: %s\n", result.placement.to_string().c_str());
   std::printf("%s", topo::render_row(result.placement).c_str());
   std::printf("  objective: %.4f cycles (plain row: %.4f)\n", result.value,
-              objective.evaluate(topo::RowTopology(n)));
+              core::RowObjective(n, route::HopWeights{})
+                  .evaluate(topo::RowTopology(n)));
   std::printf("  cost:      %ld evaluations, %.3f s\n", result.evaluations,
               result.seconds);
   report_status(result.status, "solve", trace.sink());
@@ -454,48 +446,47 @@ int cmd_sweep(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
-  const int c = static_cast<int>(args.get_long("c", 4));
-  const topo::RowTopology row(n, parse_links(args.get_or("links", "")));
-  const topo::ExpressMesh design = topo::make_design(row, c);
-
-  const std::string pattern = args.get_or("pattern", "uniform_random");
-  const double load = args.get_double("load", 0.02);
-  const auto demand = resolve_workload(pattern, n, load);
+  svc::Request request;
+  request.kind = svc::RequestKind::kSimulate;
+  request.n = static_cast<int>(args.get_long("n", 8));
+  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.links = args.get_or("links", "");
+  request.workload = args.get_or("pattern", "uniform_random");
+  request.load = args.get_double("load", 0.02);
+  request.cycles = args.get_long("cycles", 10000);
+  request.routing = args.get_or("routing", "xy");
+  request.vcs = static_cast<int>(args.get_long("vcs", 4));
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  const topo::ExpressMesh design =
+      from_flags([&] { return svc::design_of(request); });
 
   sim::SimConfig config;
-  config.measure_cycles = args.get_long("cycles", 10000);
-  config.vcs_per_port = static_cast<int>(args.get_long("vcs", 4));
-  config.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   config.virtual_express_bypass = args.has("vec");
-  const std::string routing = args.get_or("routing", "xy");
-  if (routing == "yx") config.routing = sim::RoutingMode::kYX;
-  else if (routing == "o1turn") config.routing = sim::RoutingMode::kO1Turn;
-  else XLP_REQUIRE(routing == "xy", "--routing must be xy, yx or o1turn");
-
   g_ledger.describe("simulate",
                     obs::Json::object()
-                        .set("n", n)
-                        .set("c", c)
-                        .set("links", args.get_or("links", ""))
-                        .set("pattern", pattern)
-                        .set("load", load)
-                        .set("cycles", config.measure_cycles)
-                        .set("vcs", config.vcs_per_port)
-                        .set("routing", routing)
+                        .set("n", request.n)
+                        .set("c", request.link_limit)
+                        .set("links", request.links)
+                        .set("pattern", request.workload)
+                        .set("load", request.load)
+                        .set("cycles", request.cycles)
+                        .set("vcs", request.vcs)
+                        .set("routing", request.routing)
                         .set("vec", config.virtual_express_bypass),
-                    config.seed);
+                    request.seed);
   TraceOutput trace(args);
   config.trace = trace.sink_or_null();
   SeriesOutput series(args);
   config.series = series.recorder_or_null();
   runctl::RunControl control = make_run_control(args);
   config.control = &control;
-  const auto stats = exp::simulate_design(design, demand, config);
+  const auto stats =
+      from_flags([&] { return svc::simulate(request, config); });
   std::printf("design %s C=%d (%d-bit flits), %s @ %.3f pkt/node/cycle, "
               "routing %s%s\n",
-              row.to_string().c_str(), c, design.flit_bits(),
-              pattern.c_str(), load, routing.c_str(),
+              design.row(0).to_string().c_str(), request.link_limit,
+              design.flit_bits(), request.workload.c_str(), request.load,
+              request.routing.c_str(),
               config.virtual_express_bypass ? " +VEC" : "");
   std::printf("  latency: avg %.2f  p50 %.0f  p95 %.0f  p99 %.0f  max %.0f "
               "cycles\n",
@@ -519,24 +510,28 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
+  svc::Request request;
+  request.kind = svc::RequestKind::kSimulate;
+  request.n = static_cast<int>(args.get_long("n", 8));
+  request.workload = args.get_or("pattern", "transpose");
+  request.load = args.get_double("load", 0.02);
+  request.cycles = args.get_long("cycles", 10000);
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   const std::string out_path = args.get_or("out", "");
   XLP_REQUIRE(!out_path.empty(), "--out <file> is required");
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   g_ledger.describe("trace",
                     obs::Json::object()
-                        .set("n", n)
-                        .set("pattern", args.get_or("pattern", "transpose"))
-                        .set("load", args.get_double("load", 0.02))
-                        .set("cycles", args.get_long("cycles", 10000)),
-                    seed);
+                        .set("n", request.n)
+                        .set("pattern", request.workload)
+                        .set("load", request.load)
+                        .set("cycles", request.cycles),
+                    request.seed);
   g_ledger.artifact(out_path);
-  const auto demand = resolve_workload(args.get_or("pattern", "transpose"),
-                                       n, args.get_double("load", 0.02));
-  Rng rng(seed);
-  const auto trace = traffic::Trace::sample(
-      demand, latency::PacketMix::paper_default(),
-      args.get_long("cycles", 10000), rng);
+  Rng rng(request.seed);
+  const auto trace =
+      traffic::Trace::sample(svc::demand_of(request),
+                             latency::PacketMix::paper_default(),
+                             request.cycles, rng);
   std::ostringstream out;
   trace.save(out);
   if (!util::atomic_write_file(out_path, out.str()))
@@ -553,15 +548,18 @@ int cmd_replay(const Args& args) {
   XLP_REQUIRE(in.good(), "cannot open " + path);
   const auto trace = traffic::Trace::load(in);
 
-  const int c = static_cast<int>(args.get_long("c", 4));
-  const topo::RowTopology row(trace.side(),
-                              parse_links(args.get_or("links", "")));
-  const topo::ExpressMesh design = topo::make_design(row, c);
+  svc::Request request;
+  request.kind = svc::RequestKind::kSimulate;
+  request.n = trace.side();
+  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.links = args.get_or("links", "");
+  const topo::ExpressMesh design =
+      from_flags([&] { return svc::design_of(request); });
   g_ledger.describe("replay",
                     obs::Json::object()
                         .set("trace", path)
-                        .set("links", args.get_or("links", ""))
-                        .set("c", c),
+                        .set("links", request.links)
+                        .set("c", request.link_limit),
                     0);
   runctl::RunControl control = make_run_control(args);
   sim::SimConfig replay_config;
@@ -569,8 +567,8 @@ int cmd_replay(const Args& args) {
   const auto stats = exp::replay_trace(design, trace, replay_config);
   std::printf("replayed %ld packets on %s (C=%d): avg %.2f cycles, p99 "
               "%.0f, drained %s\n",
-              stats.packets_finished, row.to_string().c_str(), c,
-              stats.avg_latency, stats.p99_latency,
+              stats.packets_finished, design.row(0).to_string().c_str(),
+              request.link_limit, stats.avg_latency, stats.p99_latency,
               stats.drained ? "yes" : "NO");
   exp::warn_if_undrained(stats, "xlp replay");
   write_stats_if_requested(args, stats);
@@ -603,20 +601,27 @@ int cmd_run(const Args& args) {
   const long checkpoint_every = args.get_long("checkpoint-every", 10000);
   const std::string resume_path = args.get_or("resume", "");
 
-  int n = static_cast<int>(args.get_long("n", 8));
-  int c = static_cast<int>(args.get_long("c", 4));
-  auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  // One request for both phases: it is a solve until the placement is
+  // known, then a simulation of that placement.
+  svc::Request request;
+  request.kind = svc::RequestKind::kSolve;
+  request.n = static_cast<int>(args.get_long("n", 8));
+  request.link_limit = static_cast<int>(args.get_long("c", 4));
+  request.moves = args.get_long("moves", 10000);
+  request.workload = args.get_or("pattern", "uniform_random");
+  request.load = args.get_double("load", 0.02);
+  request.cycles = args.get_long("cycles", 10000);
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
   g_ledger.describe("run",
                     obs::Json::object()
-                        .set("n", n)
-                        .set("c", c)
-                        .set("moves", args.get_long("moves", 10000))
-                        .set("pattern",
-                             args.get_or("pattern", "uniform_random"))
-                        .set("load", args.get_double("load", 0.02))
-                        .set("cycles", args.get_long("cycles", 10000))
+                        .set("n", request.n)
+                        .set("c", request.link_limit)
+                        .set("moves", request.moves)
+                        .set("pattern", request.workload)
+                        .set("load", request.load)
+                        .set("cycles", request.cycles)
                         .set("resumed", !resume_path.empty()),
-                    seed);
+                    request.seed);
 
   core::PlacementResult result;
   if (!resume_path.empty()) {
@@ -627,24 +632,20 @@ int cmd_run(const Args& args) {
     const std::string refresh =
         checkpoint_path.empty() ? resume_path : checkpoint_path;
     if (file.sa) {
-      n = file.sa->n;
-      c = file.sa->link_limit;
-      const core::RowObjective objective(n, route::HopWeights{});
-      core::SaParams hooks;
-      hooks.observer = sa_trace_observer(trace.sink());
-      hooks.series = series.recorder_or_null();
-      hooks.control = &control;
-      hooks.checkpoint_sink = checkpoint_file_sink(refresh);
-      hooks.checkpoint_every_moves = checkpoint_every;
-      result = core::resume_sa(objective, *file.sa, hooks);
+      request.n = file.sa->n;
+      request.link_limit = file.sa->link_limit;
+      const core::RowObjective objective(request.n, route::HopWeights{});
+      result = core::resume_sa(
+          objective, *file.sa,
+          sa_hooks(trace, series, control, refresh, checkpoint_every));
       std::printf("resumed %s from %s at move %ld/%ld\n",
                   result.method.c_str(), resume_path.c_str(),
                   file.sa->next_move, file.sa->schedule.total_moves);
     } else {
       const runctl::PortfolioCheckpoint& pc = *file.portfolio;
-      n = pc.n;
-      c = pc.link_limit;
-      seed = pc.seed;
+      request.n = pc.n;
+      request.link_limit = pc.link_limit;
+      request.seed = pc.seed;
       core::PortfolioOptions options;
       options.chains = pc.chains;
       options.sa = schedule_from_checkpoint(pc.schedule);
@@ -656,8 +657,9 @@ int cmd_run(const Args& args) {
       options.checkpoint_path = refresh;
       options.checkpoint_every_moves = checkpoint_every;
       options.resume = &pc;
-      auto portfolio = core::solve_portfolio(n, route::HopWeights{},
-                                             std::nullopt, c, options, seed);
+      auto portfolio = core::solve_portfolio(
+          request.n, route::HopWeights{}, std::nullopt, request.link_limit,
+          options, request.seed);
       std::printf("resumed portfolio of %d chains from %s (%.3f s, %ld "
                   "evals)\n",
                   pc.chains, resume_path.c_str(), portfolio.seconds,
@@ -666,19 +668,11 @@ int cmd_run(const Args& args) {
       result.status = portfolio.status;
     }
   } else {
-    const core::RowObjective objective(n, route::HopWeights{});
-    core::SaParams params =
-        core::SaParams{}.with_moves(args.get_long("moves", 10000));
-    params.observer = sa_trace_observer(trace.sink());
-    params.series = series.recorder_or_null();
-    params.control = &control;
-    params.checkpoint_sink = checkpoint_file_sink(checkpoint_path);
-    params.checkpoint_every_moves = checkpoint_every;
-    Rng rng(seed);
-    result = core::solve_dcsa(objective, c, params, rng);
+    result = svc::solve(request, sa_hooks(trace, series, control,
+                                          checkpoint_path, checkpoint_every));
   }
-  std::printf("P̄(%d,%d) via %s: %s at %.4f cycles (%ld evals, %.3f s)\n", n,
-              c, result.method.c_str(),
+  std::printf("P̄(%d,%d) via %s: %s at %.4f cycles (%ld evals, %.3f s)\n",
+              request.n, request.link_limit, result.method.c_str(),
               result.placement.to_string().c_str(), result.value,
               result.evaluations, result.seconds);
   report_status(result.status, "solve", trace.sink());
@@ -700,22 +694,17 @@ int cmd_run(const Args& args) {
     return 0;
   }
 
-  const topo::ExpressMesh design = topo::make_design(result.placement, c);
-  const std::string pattern = args.get_or("pattern", "uniform_random");
-  const double load = args.get_double("load", 0.02);
-  const auto demand = resolve_workload(pattern, n, load);
-
+  request.kind = svc::RequestKind::kSimulate;
+  request.links = topo::format_links(result.placement);
   sim::SimConfig config;
-  config.measure_cycles = args.get_long("cycles", 10000);
-  config.seed = seed;
   config.trace = trace.sink_or_null();
   config.series = series.recorder_or_null();
   config.control = &control;
-  const auto stats = exp::simulate_design(design, demand, config);
+  const auto stats = svc::simulate(request, config);
   std::printf("simulated %s @ %.3f pkt/node/cycle: avg %.2f  p95 %.0f  p99 "
               "%.0f cycles, ci95 ±%.2f, drained %s\n",
-              pattern.c_str(), load, stats.avg_latency, stats.p95_latency,
-              stats.p99_latency, stats.ci95_latency,
+              request.workload.c_str(), request.load, stats.avg_latency,
+              stats.p95_latency, stats.p99_latency, stats.ci95_latency,
               stats.drained ? "yes" : "NO");
   exp::warn_if_undrained(stats, "xlp run");
   report_status(stats.status, "simulate", trace.sink());
@@ -795,22 +784,27 @@ int cmd_faults(const Args& args) {
 }
 
 int cmd_appspec(const Args& args) {
-  const int n = static_cast<int>(args.get_long("n", 8));
-  const auto seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  svc::Request request;
+  request.kind = svc::RequestKind::kEvaluate;
+  request.n = static_cast<int>(args.get_long("n", 8));
+  request.moves = args.get_long("moves", 2000);
+  request.workload = args.get_or("workload", "canneal");
+  request.load = args.get_double("load", 0.02);
+  request.seed = static_cast<std::uint64_t>(args.get_long("seed", 1));
+  const int n = request.n;
   g_ledger.describe("appspec",
                     obs::Json::object()
                         .set("n", n)
-                        .set("workload", args.get_or("workload", "canneal"))
-                        .set("load", args.get_double("load", 0.02))
-                        .set("moves", args.get_long("moves", 2000)),
-                    seed);
-  const auto demand = resolve_workload(args.get_or("workload", "canneal"),
-                                       n, args.get_double("load", 0.02));
+                        .set("workload", request.workload)
+                        .set("load", request.load)
+                        .set("moves", request.moves),
+                    request.seed);
+  const auto demand = svc::demand_of(request);
   core::SweepOptions options;
-  options.sa = core::SaParams{}.with_moves(args.get_long("moves", 2000));
+  options.sa = core::SaParams{}.with_moves(request.moves);
   options.latency = latency::LatencyParams::zero_load();
   options.report_traffic = demand;
-  Rng rng(seed);
+  Rng rng(request.seed);
   const auto result = core::solve_app_specific(demand, options, rng);
   std::printf("app-specific design: C=%d, weighted latency %.2f cycles\n",
               result.link_limit, result.breakdown.total());
