@@ -146,16 +146,6 @@ bool warn_if_undrained(const sim::SimStats& stats,
                "are lower bounds, not steady-state values\n",
                context.c_str(), in_flight, stats.packets_offered,
                stats.last_ejection_cycle);
-  if (stats.last_progress_cycle >= 0) {
-    // Tracing was on: point at the last sim.progress snapshot so the
-    // reader can see where the run stood without re-parsing the trace.
-    // Unlike the measured count above, this mirrors the trace's
-    // packets_in_flight field: network-wide, all phases.
-    std::fprintf(stderr,
-                 "         last progress snapshot: cycle %ld, %ld packets "
-                 "in flight network-wide\n",
-                 stats.last_progress_cycle, stats.last_progress_in_flight);
-  }
   return false;
 }
 

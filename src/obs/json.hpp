@@ -14,9 +14,10 @@ namespace xlp::obs {
 
 /// Minimal ordered JSON value — just enough for telemetry: build a
 /// document with set()/push(), serialize it with dump(), and parse one
-/// back with parse() (used by tools/trace_summary and the round-trip
-/// tests). Object members keep insertion order so emitted records are
-/// byte-deterministic; duplicate keys are the caller's bug, not checked.
+/// back with parse() (used by `xlp report`, the service protocol and the
+/// round-trip tests). Object members keep insertion order so emitted
+/// records are byte-deterministic; duplicate keys are the caller's bug, not
+/// checked.
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <sstream>
 
 #include "obs/ledger.hpp"
@@ -57,30 +58,12 @@ std::string fmt_ns(double ns) {
   return buf;
 }
 
-/// Buckets one trace event into the derived series map.
+/// Keeps the last `sim.channel_utilization` event of a trace.
 void absorb_trace_event(const Json& record, RunDirData& data) {
   const Json* event = record.find("event");
-  if (event == nullptr || !event->is_string()) return;
-  const std::string& name = event->as_string();
-  if (name == "sim.progress") {
-    const double cycle = field_number(record, "cycle", 0.0);
-    data.trace_series["trace.sim.packets_in_flight"].emplace_back(
-        cycle, field_number(record, "packets_in_flight", 0.0));
-    data.trace_series["trace.sim.ejection_rate"].emplace_back(
-        cycle, field_number(record, "ejection_rate", 0.0));
-  } else if (name == "sa.cool") {
-    const double moves = field_number(record, "moves", 0.0);
-    data.trace_series["trace.sa.best"].emplace_back(
-        moves, field_number(record, "best", 0.0));
-    data.trace_series["trace.sa.current"].emplace_back(
-        moves, field_number(record, "current", 0.0));
-    data.trace_series["trace.sa.temperature"].emplace_back(
-        moves, field_number(record, "temperature", 0.0));
-    data.trace_series["trace.sa.acceptance"].emplace_back(
-        moves, field_number(record, "acceptance", 0.0));
-  } else if (name == "sim.channel_utilization") {
-    data.heatmap = record;  // keep the last one found
-  }
+  if (event != nullptr && event->is_string() &&
+      event->as_string() == "sim.channel_utilization")
+    data.heatmap = record;
 }
 
 /// Buckets one parsed .json document by content shape.
@@ -497,12 +480,10 @@ std::string render_report_html(const RunDirData& data) {
 
   std::vector<ChartSeries> recorded;
   if (data.series) recorded = chart_series_from_json(*data.series);
-  if (!recorded.empty() || !data.trace_series.empty()) {
+  if (!recorded.empty()) {
     body += "<h2>Time series</h2>\n";
     for (const ChartSeries& s : recorded)
       body += svg_line_chart(s.name, {s});
-    for (const auto& [name, points] : data.trace_series)
-      body += svg_line_chart(name, {{name, points}});
   }
 
   if (data.heatmap) {

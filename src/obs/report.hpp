@@ -1,6 +1,5 @@
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -33,9 +32,6 @@ struct RunDirData {
   std::vector<Json> ledger;     // ledger.jsonl records, file order
   /// Last `sim.channel_utilization` event found in any JSONL trace.
   std::optional<Json> heatmap;
-  /// Series derived from JSONL trace events (`sim.progress`, `sa.cool`),
-  /// keyed by a descriptive name, in key order.
-  std::map<std::string, std::vector<std::pair<double, double>>> trace_series;
 };
 
 /// Scans `dir` (non-recursive, entries in name order): parses every *.json
@@ -73,8 +69,8 @@ struct RunDirData {
                                     const std::string& body);
 
 /// Renders the full single-file HTML dashboard for one run directory: line
-/// charts for every recorded and trace-derived series, the channel heatmap,
-/// the stats summary, the profiler tree table and the run ledger.
+/// charts for every recorded series, the channel heatmap, the stats
+/// summary, the profiler tree table and the run ledger.
 [[nodiscard]] std::string render_report_html(const RunDirData& data);
 
 /// Escapes &<>" for embedding untrusted strings in HTML/SVG text.

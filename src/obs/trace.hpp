@@ -9,11 +9,13 @@
 
 namespace xlp::obs {
 
-/// Destination for structured trace events. Instrumented code calls
-/// `sink.emit("sa.cool", fields)` where `fields` is a JSON object payload;
-/// what happens next depends on the sink. Call sites that would pay to
-/// build the payload should guard on `enabled()` so the default null sink
-/// makes instrumentation cost ~nothing.
+/// Destination for structured trace events — discrete happenings such as
+/// `run.status`, `fault.*` and `sim.done`; trajectories belong in a
+/// SeriesRecorder. Instrumented code calls `sink.emit("sim.done", fields)`
+/// where `fields` is a JSON object payload; what happens next depends on
+/// the sink. Call sites that would pay to build the payload should guard
+/// on `enabled()` so the default null sink makes instrumentation cost
+/// ~nothing.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

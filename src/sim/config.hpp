@@ -109,19 +109,20 @@ struct SimConfig {
   latency::PacketMix mix = latency::PacketMix::paper_default();
 
   /// Optional structured trace sink (not owned; must outlive the run).
-  /// When set and enabled, the simulator emits periodic `sim.progress`
-  /// snapshots every trace_interval_cycles plus a final
-  /// `sim.channel_utilization` heatmap derived from the per-channel flit
-  /// counts. Null by default so instrumentation costs nothing.
+  /// When set and enabled, the simulator emits discrete events only:
+  /// `fault.*` edges as they fire, then a final `sim.channel_utilization`
+  /// heatmap derived from the per-channel flit counts and `sim.done`.
+  /// Trajectories go to `series`. Null by default so instrumentation costs
+  /// nothing.
   obs::TraceSink* trace = nullptr;
-  long trace_interval_cycles = 1000;
 
   /// Optional bounded-memory time-series recorder (not owned; must outlive
   /// the run). When set, the simulator appends one sample per series every
   /// series_interval_cycles: injected/ejected flits in the window, flits in
-  /// the network, active routers, mean per-VC buffer occupancy and the
-  /// stalled-cycle fraction. Null by default; the disabled path costs a
-  /// single branch per cycle (verified by bench/micro_core sim_run_8x8).
+  /// the network, packets in flight (source queues included), active
+  /// routers, mean per-VC buffer occupancy and the stalled-cycle fraction.
+  /// Null by default; the disabled path costs a single branch per cycle
+  /// (verified by bench/micro_core sim_run_8x8).
   obs::SeriesRecorder* series = nullptr;
   long series_interval_cycles = 256;
 

@@ -529,8 +529,6 @@ SimStats Simulator::run() {
   const long measure_end = config_.warmup_cycles + config_.measure_cycles;
   const long hard_end = measure_end + config_.drain_cycles;
   const int nodes = net_.node_count();
-  const bool tracing = config_.trace != nullptr && config_.trace->enabled() &&
-                       config_.trace_interval_cycles > 0;
   const bool recording =
       config_.series != nullptr && config_.series_interval_cycles > 0;
 
@@ -545,8 +543,6 @@ SimStats Simulator::run() {
       status = config_.control->status();
       break;
     }
-    if (tracing && cycle_ > 0 && cycle_ % config_.trace_interval_cycles == 0)
-      emit_progress();
     // Single branch on the disabled path (bench/micro_core sim_run_8x8
     // gates this at <1% overhead); everything else happens inside.
     if (recording) {
@@ -925,33 +921,6 @@ void Simulator::purge_packets(const std::vector<char>& victim) {
   }
 }
 
-const char* Simulator::phase_name(long cycle) const noexcept {
-  if (cycle < config_.warmup_cycles) return "warmup";
-  if (cycle < config_.warmup_cycles + config_.measure_cycles)
-    return "measure";
-  return "drain";
-}
-
-void Simulator::emit_progress() {
-  const long in_flight = static_cast<long>(packets_.size()) - ejected_total_;
-  const long interval = config_.trace_interval_cycles;
-  const double ejection_rate =
-      static_cast<double>(ejected_total_ - last_snapshot_ejected_) /
-      static_cast<double>(interval);
-  last_snapshot_ejected_ = ejected_total_;
-  last_progress_cycle_ = cycle_;
-  last_progress_in_flight_ = in_flight;
-  config_.trace->emit("sim.progress",
-                      obs::Json::object()
-                          .set("cycle", cycle_)
-                          .set("phase", phase_name(cycle_))
-                          .set("packets_created",
-                               static_cast<long>(packets_.size()))
-                          .set("packets_in_flight", in_flight)
-                          .set("outstanding_measured", outstanding_measured_)
-                          .set("ejection_rate", ejection_rate));
-}
-
 void Simulator::record_series() {
   obs::SeriesRecorder& rec = *config_.series;
   const double x = static_cast<double>(cycle_);
@@ -961,6 +930,11 @@ void Simulator::record_series() {
              static_cast<double>(ejected_flits_total_ - window_ejected_));
   rec.append("sim.in_network_flits", x,
              static_cast<double>(in_network_flits_));
+  // Network-wide, all phases, source-queue backlog included: the
+  // saturation curve the in-network flit count alone cannot show.
+  rec.append("sim.packets_in_flight", x,
+             static_cast<double>(static_cast<long>(packets_.size()) -
+                                 ejected_total_));
 
   // Occupancy scan is O(routers x ports x vcs) but runs only once per
   // series window, never per cycle.
@@ -1034,8 +1008,6 @@ SimStats Simulator::finalize() const {
   stats.activity = activity_;
   stats.channel_flits = channel_flits_measured_;
   stats.last_ejection_cycle = last_ejection_cycle_;
-  stats.last_progress_cycle = last_progress_cycle_;
-  stats.last_progress_in_flight = last_progress_in_flight_;
   stats.reroutes = reroutes_;
   stats.packets_dropped = packets_dropped_;
   stats.packets_retransmitted = packets_retransmitted_;

@@ -254,8 +254,13 @@ std::vector<Reply> Server::serve_batch(const std::vector<Request>& requests) {
       unique_indices.push_back(i);
   }
 
+  // No more workers than unique requests: a socket frame carries one
+  // request, which then runs inline on the caller's connection worker
+  // instead of starting and joining a whole pool.
   std::vector<Reply> unique_replies(unique_indices.size());
-  util::ThreadPool pool(options_.threads);
+  util::ThreadPool pool(
+      std::max(1, std::min(util::resolve_thread_count(options_.threads),
+                           static_cast<int>(unique_indices.size()))));
   pool.parallel_for(static_cast<long>(unique_indices.size()), [&](long u) {
     unique_replies[static_cast<std::size_t>(u)] = resolve_received(
         requests[unique_indices[static_cast<std::size_t>(u)]], received);
@@ -647,22 +652,8 @@ void Server::observe_request(const Request& request, const Reply& reply,
       ++window_requests_;
       if (reply.cache_hit) ++window_cache_hits_;
       const double span = replied - window_start_;
-      if (span >= options_.series_window && span > 0.0) {
-        options_.series->append("svc.requests_per_sec", replied,
-                                static_cast<double>(window_requests_) / span);
-        options_.series->append("svc.cache_hit_rate", replied,
-                                static_cast<double>(window_cache_hits_) /
-                                    static_cast<double>(window_requests_));
-        options_.series->append(
-            "svc.queue_depth", replied,
-            static_cast<double>(
-                queue_depth_.load(std::memory_order_relaxed)));
-        options_.series->append("svc.inflight", replied,
-                                static_cast<double>(inflight_count()));
-        window_start_ = replied;
-        window_requests_ = 0;
-        window_cache_hits_ = 0;
-      }
+      if (span >= options_.series_window && span > 0.0)
+        close_series_window(replied, span);
     }
   }
 
@@ -762,25 +753,28 @@ obs::Json Server::stats_snapshot() {
       .set("chaos", ChaosPolicy::global().to_json());
 }
 
+void Server::close_series_window(double now, double span) {
+  options_.series->append("svc.requests_per_sec", now,
+                          static_cast<double>(window_requests_) / span);
+  options_.series->append("svc.cache_hit_rate", now,
+                          static_cast<double>(window_cache_hits_) /
+                              static_cast<double>(window_requests_));
+  options_.series->append(
+      "svc.queue_depth", now,
+      static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
+  options_.series->append("svc.inflight", now,
+                          static_cast<double>(inflight_count()));
+  window_start_ = now;
+  window_requests_ = 0;
+  window_cache_hits_ = 0;
+}
+
 void Server::flush_observability() {
   if (options_.observe && options_.series != nullptr) {
     std::lock_guard<std::mutex> lock(series_mutex_);
     if (window_requests_ > 0) {
       const double now = uptime_.seconds();
-      const double span = std::max(now - window_start_, 1e-9);
-      options_.series->append("svc.requests_per_sec", now,
-                              static_cast<double>(window_requests_) / span);
-      options_.series->append("svc.cache_hit_rate", now,
-                              static_cast<double>(window_cache_hits_) /
-                                  static_cast<double>(window_requests_));
-      options_.series->append(
-          "svc.queue_depth", now,
-          static_cast<double>(queue_depth_.load(std::memory_order_relaxed)));
-      options_.series->append("svc.inflight", now,
-                              static_cast<double>(inflight_count()));
-      window_start_ = now;
-      window_requests_ = 0;
-      window_cache_hits_ = 0;
+      close_series_window(now, std::max(now - window_start_, 1e-9));
     }
   }
   std::lock_guard<std::mutex> lock(events_mutex_);

@@ -199,6 +199,10 @@ class Server {
                        std::optional<double> queue_wait_seconds,
                        std::optional<double> execute_seconds,
                        bool cache_corrupt = false);
+  /// Appends one sample per svc.* series for the window closing at `now`
+  /// after `span` seconds, then opens the next window. Caller holds
+  /// series_mutex_.
+  void close_series_window(double now, double span);
   [[nodiscard]] long inflight_count();
 
   ServerOptions options_;

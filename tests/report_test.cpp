@@ -115,16 +115,18 @@ TEST(CollectRunDir, ClassifiesFilesByContent) {
       append_ledger_entry((dir / "ledger.jsonl").string(), entry));
   {
     std::ofstream out(dir / "trace.jsonl");
-    out << "{\"ts\":0,\"event\":\"sim.progress\",\"cycle\":100,"
-           "\"packets_in_flight\":7,\"ejection_rate\":0.3}\n"
-        << "not json at all\n";
+    out << "not json at all\n"
+        << "{\"ts\":0,\"event\":\"sim.channel_utilization\","
+           "\"measured_cycles\":100,\"channels\":[]}\n";
   }
 
   const RunDirData data = collect_run_dir(dir.string());
   ASSERT_TRUE(data.series.has_value());
   ASSERT_TRUE(data.stats.has_value());
   EXPECT_EQ(data.ledger.size(), 1u);
-  EXPECT_FALSE(data.trace_series.empty());
+  // The garbage line is skipped; the heatmap event after it survives.
+  ASSERT_TRUE(data.heatmap.has_value());
+  EXPECT_EQ(data.heatmap->find("measured_cycles")->as_long(), 100);
   EXPECT_DOUBLE_EQ(data.stats->find("latency")->find("avg")->as_number(),
                    2.0);
 }

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <tuple>
 
 #include "latency/model.hpp"
 #include "obs/json.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats_json.hpp"
 #include "sim/throughput.hpp"
 #include "test_util.hpp"
 #include "topo/builders.hpp"
@@ -374,6 +377,55 @@ TEST(Telemetry, ChannelUtilizationHeatmapMatchesStats) {
     any_used = any_used || utilization > 0.0;
   }
   EXPECT_TRUE(any_used);
+}
+
+TEST(Telemetry, InstrumentationLeavesStatsUnchanged) {
+  const Network net(topo::make_mesh(4), route::HopWeights{});
+  const auto demand = traffic::TrafficMatrix::from_pattern(
+      traffic::Pattern::kUniformRandom, 4, 0.05);
+  const auto stats_bytes = [&](obs::TraceSink* trace,
+                               obs::SeriesRecorder* series) {
+    SimConfig config = quiet_config();
+    config.trace = trace;
+    config.series = series;
+    Simulator sim(net, demand, config);
+    return stats_to_json(sim.run()).dump();
+  };
+  HeatmapCaptureSink sink;
+  obs::SeriesRecorder series;
+  EXPECT_EQ(stats_bytes(&sink, &series), stats_bytes(nullptr, nullptr));
+  EXPECT_TRUE(sink.heatmap.has_value());
+  EXPECT_FALSE(series.sampled("sim.packets_in_flight").empty());
+}
+
+TEST(Telemetry, PacketsInFlightSeriesDrainsToZero) {
+  // A burst from one source backs up in its source queue, so the series
+  // sees packets in flight; the run then idles until the measurement
+  // window closes, long after the burst drained.
+  const Network net(topo::make_mesh(4), route::HopWeights{});
+  const traffic::TrafficMatrix idle(4);
+  SimConfig config = quiet_config();
+  HeatmapCaptureSink sink;
+  obs::SeriesRecorder series;
+  config.trace = &sink;
+  config.series = &series;
+  Simulator sim(net, idle, config);
+  for (int dst = 1; dst < 16; ++dst) {
+    sim.schedule_packet(0, dst, 512, config.series_interval_cycles - 10);
+    sim.schedule_packet(0, dst, 128, config.series_interval_cycles - 10);
+  }
+  const SimStats stats = sim.run();
+  ASSERT_TRUE(stats.drained);
+
+  const auto points = series.sampled("sim.packets_in_flight");
+  ASSERT_FALSE(points.empty());
+  double peak = 0.0;
+  for (const auto& point : points) {
+    EXPECT_GE(point.y, 0.0) << "cycle " << point.x;
+    peak = std::max(peak, point.y);
+  }
+  EXPECT_GT(peak, 0.0);
+  EXPECT_EQ(points.back().y, 0.0);
 }
 
 }  // namespace

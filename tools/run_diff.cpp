@@ -3,7 +3,7 @@
 //   run_diff <dir-a> <dir-b> [--threshold <pct>] [--html <file>]
 //
 // Reads the telemetry bundles of both directories (stats, xlp-series/1
-// recordings, JSONL traces, ledgers; see `xlp report`) and prints:
+// recordings, ledgers; see `xlp report`) and prints:
 //   * stats deltas for every numeric metric present in both runs,
 //   * aligned time-series comparisons (count-weighted means per series),
 //   * a ledger provenance diff (run id, git sha, seed, params).
@@ -70,15 +70,12 @@ double pct_change(double a, double b) {
   return (b - a) / std::abs(a) * 100.0;
 }
 
-/// Every plottable series of a run: recorded xlp-series/1 documents plus
-/// the trace-derived ones, keyed by name.
+/// Every recorded xlp-series/1 series of a run, keyed by name.
 std::map<std::string, ChartSeries> all_series(const RunDirData& data) {
   std::map<std::string, ChartSeries> out;
   if (data.series)
     for (ChartSeries& s : xlp::obs::chart_series_from_json(*data.series))
       out[s.name] = std::move(s);
-  for (const auto& [name, points] : data.trace_series)
-    out[name] = ChartSeries{name, points};
   return out;
 }
 
@@ -115,7 +112,7 @@ int main(int argc, char** argv) {
 
   const RunDirData a = xlp::obs::collect_run_dir(dir_a);
   const RunDirData b = xlp::obs::collect_run_dir(dir_b);
-  if (!a.stats && !a.series && a.trace_series.empty() && a.ledger.empty()) {
+  if (!a.stats && !a.series && a.ledger.empty()) {
     std::fprintf(stderr, "run_diff: no telemetry found in %s\n",
                  dir_a.c_str());
     return 2;

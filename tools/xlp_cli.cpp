@@ -45,14 +45,16 @@
 //                 quantiles, polled via `stats` requests)
 //
 // Telemetry (see docs/observability.md):
-//   --trace <file.jsonl>   structured JSONL trace (SA cooling steps on
-//                          solve/run, simulator progress + channel heatmap
-//                          on simulate/run); not available on `replay`,
-//                          whose --trace names the input packet trace
+//   --trace <file.jsonl>   structured JSONL trace of discrete events
+//                          (run status, fault edges, the final channel
+//                          heatmap and sim.done); not available on
+//                          `replay`, whose --trace names the input packet
+//                          trace
 //   --metrics <file.json>  dump the global metrics registry after the run
 //   --stats-json <file>    full SimStats serialization (simulate/replay/run)
-//   --series <file.json>   bounded-memory time-series recording (simulator
-//                          cycle telemetry on simulate/run, SA cooling
+//   --series <file.json>   bounded-memory time-series recording, the one
+//                          channel for trajectories (simulator cycle
+//                          telemetry on simulate/run, SA cooling
 //                          trajectories on solve/run), schema xlp-series/1
 //   --profile-json <file>  enable the hierarchical profiler and dump the
 //                          merged scope tree as JSON after the run
@@ -281,23 +283,6 @@ class SeriesOutput {
   obs::SeriesRecorder recorder_;
 };
 
-/// Observer that forwards every SA cooling step to the trace sink as an
-/// `sa.cool` event; empty (and free) when tracing is off.
-core::SaObserver sa_trace_observer(obs::TraceSink& sink) {
-  if (!sink.enabled()) return {};
-  return [&sink](const core::SaCoolingStep& step) {
-    sink.emit("sa.cool",
-              obs::Json::object()
-                  .set("phase", "anneal")
-                  .set("step", step.step)
-                  .set("moves", step.moves_done)
-                  .set("temperature", step.temperature)
-                  .set("current", step.current_value)
-                  .set("best", step.best_value)
-                  .set("acceptance", step.window_acceptance_rate()));
-  };
-}
-
 void write_stats_if_requested(const Args& args, const sim::SimStats& stats) {
   const std::string path = args.get_or("stats-json", "");
   if (path.empty()) return;
@@ -323,13 +308,11 @@ auto from_flags(Fn&& fn) -> decltype(fn()) {
 }
 
 /// The runtime hooks every annealing subcommand threads into the search:
-/// cooling-step trace events, series, run control and the checkpoint sink.
-core::SaParams sa_hooks(TraceOutput& trace, SeriesOutput& series,
-                        runctl::RunControl& control,
+/// cooling-step series, run control and the checkpoint sink.
+core::SaParams sa_hooks(SeriesOutput& series, runctl::RunControl& control,
                         const std::string& checkpoint_path,
                         long checkpoint_every) {
   core::SaParams hooks;
-  hooks.observer = sa_trace_observer(trace.sink());
   hooks.series = series.recorder_or_null();
   hooks.control = &control;
   hooks.checkpoint_sink = checkpoint_file_sink(checkpoint_path);
@@ -362,8 +345,8 @@ int cmd_solve(const Args& args) {
   runctl::RunControl control = make_run_control(args);
   const std::string checkpoint_path = args.get_or("checkpoint", "");
   const long checkpoint_every = args.get_long("checkpoint-every", 10000);
-  const core::SaParams hooks = sa_hooks(trace, series, control,
-                                        checkpoint_path, checkpoint_every);
+  const core::SaParams hooks =
+      sa_hooks(series, control, checkpoint_path, checkpoint_every);
 
   core::PlacementResult result;
   if (chains > 1 &&
@@ -637,7 +620,7 @@ int cmd_run(const Args& args) {
       const core::RowObjective objective(request.n, route::HopWeights{});
       result = core::resume_sa(
           objective, *file.sa,
-          sa_hooks(trace, series, control, refresh, checkpoint_every));
+          sa_hooks(series, control, refresh, checkpoint_every));
       std::printf("resumed %s from %s at move %ld/%ld\n",
                   result.method.c_str(), resume_path.c_str(),
                   file.sa->next_move, file.sa->schedule.total_moves);
@@ -649,7 +632,6 @@ int cmd_run(const Args& args) {
       core::PortfolioOptions options;
       options.chains = pc.chains;
       options.sa = schedule_from_checkpoint(pc.schedule);
-      options.sa.observer = sa_trace_observer(trace.sink());
       options.series = series.recorder_or_null();
       options.solver = pc.solver == "onlysa" ? core::Solver::kOnlySa
                                              : core::Solver::kDcsa;
@@ -668,8 +650,8 @@ int cmd_run(const Args& args) {
       result.status = portfolio.status;
     }
   } else {
-    result = svc::solve(request, sa_hooks(trace, series, control,
-                                          checkpoint_path, checkpoint_every));
+    result = svc::solve(
+        request, sa_hooks(series, control, checkpoint_path, checkpoint_every));
   }
   std::printf("P̄(%d,%d) via %s: %s at %.4f cycles (%ld evals, %.3f s)\n",
               request.n, request.link_limit, result.method.c_str(),
@@ -841,11 +823,10 @@ int cmd_bench(const Args& args) {
 }
 
 /// Renders the single-file HTML dashboard for a run directory: line charts
-/// for every recorded series (xlp-series/1 documents plus series derived
-/// from JSONL traces), the channel-utilization heatmap, stats, profiler
-/// and ledger tables. The output embeds everything inline — no scripts, no
-/// external resources — so it can be archived or attached to CI artifacts
-/// as one file.
+/// for every recorded xlp-series/1 series, the channel-utilization heatmap
+/// from the JSONL trace, stats, profiler and ledger tables. The output
+/// embeds everything inline — no scripts, no external resources — so it can
+/// be archived or attached to CI artifacts as one file.
 int cmd_report(const Args& args) {
   XLP_REQUIRE(!args.positional().empty(),
               "usage: xlp report <run-dir> [--out <file.html>]");
@@ -862,9 +843,8 @@ int cmd_report(const Args& args) {
     throw Error(ErrorCode::kIo, "cannot write " + out_path);
   g_ledger.artifact(out_path);
 
-  std::size_t chart_count = data.trace_series.size();
-  if (data.series)
-    chart_count += obs::chart_series_from_json(*data.series).size();
+  const std::size_t chart_count =
+      data.series ? obs::chart_series_from_json(*data.series).size() : 0;
   std::printf("report: %s (%zu charts%s%s%s, %zu ledger records) -> %s\n",
               dir.c_str(), chart_count, data.stats ? ", stats" : "",
               data.heatmap ? ", heatmap" : "",
