@@ -225,18 +225,6 @@ std::string write_bench_json(const std::string& dir, const std::string& name,
   return path;
 }
 
-std::string write_artifact(const std::string& dir, const std::string& name,
-                           const obs::Json& data,
-                           const obs::Provenance& provenance) {
-  obs::Json doc = obs::Json::object();
-  doc.set("schema", kBenchSchema);
-  doc.set("kind", "artifact");
-  doc.set("name", name);
-  doc.set("provenance", provenance.to_json());
-  doc.set("data", data);
-  return write_bench_json(dir, name, doc);
-}
-
 int run_and_report(const RunnerOptions& options,
                    const std::string& profile_path, bool list_only) {
   if (list_only) {

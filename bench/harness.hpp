@@ -24,7 +24,8 @@ namespace xlp::bench {
 ///     convention tail latencies are named "<stage>_p99_ns" so bench_diff
 ///     treats them as lower-is-better.
 ///   - set_payload(json): arbitrary structured series attached to the
-///     result (the figure benches park their plot points here)
+///     result (the paper-figure suites park their table rows and plot
+///     points here; like counters, it must not depend on wall time)
 class BenchRun {
  public:
   void set_items(long items) { items_ = items; }
@@ -148,15 +149,6 @@ class Runner {
 /// needed); returns the path, or an empty string on failure.
 std::string write_bench_json(const std::string& dir, const std::string& name,
                              const obs::Json& doc);
-
-/// Wraps an experiment's structured series in the shared schema —
-/// {"schema","kind":"artifact","name","provenance","data":...} — and
-/// writes it as BENCH_<name>.json under `dir`. The figure benches use this
-/// so every perf artifact carries one provenance block. Returns the
-/// written path or empty on failure.
-std::string write_artifact(const std::string& dir, const std::string& name,
-                           const obs::Json& data,
-                           const obs::Provenance& provenance);
 
 /// Runs the registry through `options` and prints the summary table. When
 /// `profile_path` is set the hierarchical profiler records the run and its

@@ -62,7 +62,8 @@ enum class RoutingMode { kXY, kYX, kO1Turn };
 ///  * kRoundRobin: classic rotating priority per output port (default);
 ///  * kOldestFirst: age-based arbitration — the eligible flit whose packet
 ///    was created earliest wins. Trades a little arbiter complexity for a
-///    tighter latency tail (compare p99 in bench/arbiter_ablation).
+///    tighter latency tail (compare p99 in the arbiter_ablation suite,
+///    `xlp bench --filter '^arbiter_ablation/'`).
 enum class Arbiter { kRoundRobin, kOldestFirst };
 
 /// Simulator configuration. Defaults model the paper's platform: canonical
