@@ -30,15 +30,14 @@ struct Packet {
 /// looked up through `packet` (an index into the simulator's packet table).
 struct Flit {
   long packet = -1;  // index into the packet table
-  int seq = 0;       // 0-based position within the packet
+  // Per-hop bookkeeping, rewritten at each router.
+  long ready_cycle = 0;  // earliest cycle this flit may compete for the switch
+  int vc = 0;            // virtual channel this flit occupies downstream
+
+  int dst = 0;       // destination node (copied for cheap route computation)
   bool is_head = false;
   bool is_tail = false;
-  int dst = 0;       // destination node (copied for cheap route computation)
   bool y_first = false;  // routing orientation (YX when true)
-
-  // Per-hop bookkeeping, rewritten at each router.
-  int vc = 0;            // virtual channel this flit occupies downstream
-  long ready_cycle = 0;  // earliest cycle this flit may compete for the switch
 };
 
 }  // namespace xlp::sim
