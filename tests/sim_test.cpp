@@ -4,6 +4,7 @@
 #include <optional>
 #include <tuple>
 
+#include "fault/model.hpp"
 #include "latency/model.hpp"
 #include "obs/json.hpp"
 #include "obs/timeseries.hpp"
@@ -283,6 +284,52 @@ TEST(Load, RejectsOverUnityInjection) {
   traffic::TrafficMatrix demand(4);
   demand.set_rate(0, 1, 1.5);
   EXPECT_THROW(Simulator(net, demand, quiet_config()), PreconditionError);
+}
+
+// --------------------------------------------------------------------------
+// Idle-router counter: every router's buffered-flit count must match its
+// buffers (finalize() checks that, or run() throws) and end at zero once
+// all traffic has drained — also after a purge removed worms mid-flight.
+
+/// Schedules a burst of 4-flit worms and returns the drained run's stats,
+/// with every router's counter checked at zero.
+SimStats run_burst_and_check_counters(const Network& net, SimConfig config) {
+  const traffic::TrafficMatrix idle(net.width());
+  Simulator sim(net, idle, config);
+  const int nodes = net.node_count();
+  for (int i = 0; i < 8 * nodes; ++i) {
+    const int src = i % nodes;
+    int dst = (i * 7 + 13) % nodes;
+    if (dst == src) dst = (src + 1) % nodes;
+    sim.schedule_packet(src, dst, 1024, config.warmup_cycles + 10 + i / nodes);
+  }
+  const SimStats stats = sim.run();
+  EXPECT_TRUE(stats.drained);
+  for (int r = 0; r < nodes; ++r)
+    EXPECT_EQ(sim.buffered_flits(r), 0) << "router " << r;
+  return stats;
+}
+
+TEST(IdleSkip, CountersEndAtZeroAfterDrainedRun) {
+  const Network net(topo::make_hfb(8), route::HopWeights{});
+  const SimStats stats = run_burst_and_check_counters(net, quiet_config());
+  EXPECT_EQ(stats.packets_finished, 8 * 64);
+}
+
+TEST(IdleSkip, CountersEndAtZeroAfterDropRetransmitPurge) {
+  const topo::ExpressMesh design = topo::make_hfb(8);
+  const Network net(design, route::HopWeights{});
+  SimConfig config = quiet_config();
+  config.faults.policy = FaultPolicy::kDropRetransmit;
+  // Every row loses its HFB (0,3) express link while the burst is in
+  // flight.
+  fault::FaultSet faults;
+  for (int y = 0; y < design.side(); ++y)
+    faults.add(fault::LinkFault{{fault::Dim::kRow, y, {0, 3}}});
+  config.faults.events.push_back({config.warmup_cycles + 30, faults, -1});
+  const SimStats stats = run_burst_and_check_counters(net, config);
+  EXPECT_GT(stats.packets_dropped, 0);  // worms were purged mid-flight
+  EXPECT_EQ(stats.packets_lost, 0);
 }
 
 // --------------------------------------------------------------------------
