@@ -137,7 +137,7 @@ std::vector<SuiteReport> Runner::run() const {
                              return r.suite == spec.suite;
                            });
     if (it == reports.end()) {
-      reports.push_back({spec.suite, {}});
+      reports.push_back({spec.suite, {}, {}});
       it = reports.end() - 1;
     }
     std::fprintf(stderr, "[bench] %s/%s ...\n", spec.suite.c_str(),
@@ -146,15 +146,14 @@ std::vector<SuiteReport> Runner::run() const {
   }
 
   if (!options_.out_dir.empty()) {
-    for (const auto& report : reports) {
-      const std::string path =
-          write_bench_json(options_.out_dir, report.suite,
-                           suite_to_json(report));
-      if (path.empty())
+    for (auto& report : reports) {
+      report.path = write_bench_json(options_.out_dir, report.suite,
+                                     suite_to_json(report));
+      if (report.path.empty())
         std::fprintf(stderr, "[bench] warning: failed to write BENCH_%s.json\n",
                      report.suite.c_str());
       else
-        std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+        std::fprintf(stderr, "[bench] wrote %s\n", report.path.c_str());
     }
   }
   return reports;
@@ -226,7 +225,8 @@ std::string write_bench_json(const std::string& dir, const std::string& name,
 }
 
 int run_and_report(const RunnerOptions& options,
-                   const std::string& profile_path, bool list_only) {
+                   const std::string& profile_path, bool list_only,
+                   const std::function<void(const std::string&)>& artifact) {
   if (list_only) {
     for (const auto& spec : Registry::global().specs())
       std::printf("%s/%s %s\n", spec.suite.c_str(), spec.name.c_str(),
@@ -241,6 +241,10 @@ int run_and_report(const RunnerOptions& options,
   const Runner runner(options);
   const auto reports = runner.run();
   Runner::print(reports);
+  if (artifact) {
+    for (const auto& report : reports)
+      if (!report.path.empty()) artifact(report.path);
+  }
   if (!profile_path.empty()) {
     obs::Profiler::disable();
     const auto report = obs::Profiler::snapshot();
@@ -249,6 +253,7 @@ int run_and_report(const RunnerOptions& options,
       return 1;
     }
     std::fprintf(stderr, "[bench] wrote profile %s\n", profile_path.c_str());
+    if (artifact) artifact(profile_path);
   }
   return 0;
 }

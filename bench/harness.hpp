@@ -119,6 +119,7 @@ struct BenchResult {
 struct SuiteReport {
   std::string suite;
   std::vector<BenchResult> results;
+  std::string path;  // the BENCH_<suite>.json run() wrote; empty if none
 };
 
 /// Schema identifier stamped into every document this harness writes.
@@ -153,9 +154,12 @@ std::string write_bench_json(const std::string& dir, const std::string& name,
 /// Runs the registry through `options` and prints the summary table. When
 /// `profile_path` is set the hierarchical profiler records the run and its
 /// collapsed-stack dump lands there; when `list_only` is set nothing runs
-/// and the registered benchmarks are listed instead. Returns a process
-/// exit code. The entry point behind `xlp bench`.
-int run_and_report(const RunnerOptions& options,
-                   const std::string& profile_path, bool list_only);
+/// and the registered benchmarks are listed instead. `artifact`, when set,
+/// receives the path of every file written (BENCH documents, profile).
+/// Returns a process exit code. The entry point behind `xlp bench`.
+int run_and_report(
+    const RunnerOptions& options, const std::string& profile_path,
+    bool list_only,
+    const std::function<void(const std::string&)>& artifact = {});
 
 }  // namespace xlp::bench

@@ -505,8 +505,11 @@ void register_svc() {
 }
 
 void register_sim() {
-  // Simulator throughput on the two fixed designs. Short windows keep the
-  // smoke run cheap; both rates and the deterministic packet counters land
+  // Simulator throughput under UR at 0.02: the two fixed 8x8 designs (smoke)
+  // and plain meshes at 16x16 and 32x32 (scale rows, `--filter '^sim/'`).
+  // Short windows keep the runs cheap. cycles_per_sec counts warm-up plus
+  // measured cycles; flits_per_sec counts the crossbar traversals of the
+  // measured window. Both rates and the deterministic packet counters land
   // in BENCH_sim.json.
   const auto simulate = [](const topo::ExpressMesh& design, BenchRun& run) {
     sim::SimConfig config = exp::default_sim_config(11);
@@ -514,10 +517,12 @@ void register_sim() {
     config.measure_cycles = 2000;
     config.drain_cycles = 8000;
     const auto demand = traffic::TrafficMatrix::from_pattern(
-        traffic::Pattern::kUniformRandom, 8, 0.02);
+        traffic::Pattern::kUniformRandom, design.side(), 0.02);
     const auto stats = exp::simulate_design(design, demand, config);
     const long cycles = config.warmup_cycles + config.measure_cycles;
-    run.set_rate("simulated_cycles", static_cast<double>(cycles));
+    run.set_rate("cycles", static_cast<double>(cycles));
+    run.set_rate("flits",
+                 static_cast<double>(stats.activity.crossbar_traversals));
     run.set_rate("packets", static_cast<double>(stats.packets_finished));
     run.set_counter("packets_finished",
                     static_cast<double>(stats.packets_finished));
@@ -529,6 +534,13 @@ void register_sim() {
   register_bench("sim", "hfb_8x8_ur", "smoke", [simulate](BenchRun& run) {
     simulate(exp::fixed_designs(8)[1].design, run);
   });
+  for (const int n : {16, 32}) {
+    register_bench("sim", "mesh_" + std::to_string(n) + "x" +
+                              std::to_string(n) + "_ur",
+                   "", [simulate, n](BenchRun& run) {
+                     simulate(topo::make_mesh(n), run);
+                   });
+  }
 }
 
 // One scalability point: full C sweep at size n, reporting the optimizer

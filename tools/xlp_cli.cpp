@@ -811,15 +811,19 @@ int cmd_bench(const Args& args) {
   options.provenance =
       obs::Provenance::collect(static_cast<std::uint64_t>(
           args.get_long("seed", 0)));
+  // XLP_BENCH_SCALE sizes every SA budget and simulated window, so it is
+  // part of what the run computes.
   g_ledger.describe("bench",
                     obs::Json::object()
                         .set("filter", options.filter)
                         .set("repeats", options.repeats)
                         .set("warmup", options.warmup)
-                        .set("deterministic", options.deterministic),
+                        .set("deterministic", options.deterministic)
+                        .set("scale", exp::bench_scale()),
                     options.provenance.seed);
-  return bench::run_and_report(options, args.get_or("profile", ""),
-                               args.has("list"));
+  return bench::run_and_report(
+      options, args.get_or("profile", ""), args.has("list"),
+      [](const std::string& path) { g_ledger.artifact(path); });
 }
 
 /// Renders the single-file HTML dashboard for a run directory: line charts
